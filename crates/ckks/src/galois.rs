@@ -53,11 +53,11 @@ impl Evaluator {
         let nl = ct.num_limbs();
         let mut c0g = ct.c0.automorphism(g);
         c0g.to_ntt();
-        let c1g = ct.c1.automorphism(g); // key_switch converts internally
+        // The automorphism emits coefficient form, which is what the
+        // key switch decomposes; no NTT round trip in between.
+        let c1g = ct.c1.automorphism(g);
         let key = self.keys().galois_key(g, nl);
-        let mut c1g_ntt = c1g;
-        c1g_ntt.to_ntt();
-        let (k0, k1) = self.key_switch_with(&c1g_ntt, &key);
+        let (k0, k1) = self.key_switch_with(&c1g, &key);
         c0g.add_assign(&k0);
         Ciphertext {
             c0: c0g,
@@ -105,6 +105,38 @@ mod tests {
         (0..slots)
             .map(|i| (i as f64 - slots as f64 / 2.0) / slots as f64)
             .collect()
+    }
+
+    #[test]
+    fn rotate_is_byte_identical_to_ntt_round_trip_key_switch() {
+        // The key switch decomposes its input in coefficient form, so
+        // handing it the automorphism's coefficient-form output must
+        // give the same bytes as converting to NTT form first.
+        // Both gadgets: hybrid (the toy default) and per-prime.
+        let per_prime = CkksParams {
+            ks_digit_limbs: 0,
+            ..CkksParams::toy()
+        };
+        for params in [CkksParams::toy(), per_prime] {
+            let ctx = params.build();
+            let mut rng = Rng64::new(40);
+            let keys = KeyChain::generate(&ctx, &mut rng);
+            let ev = Evaluator::new(&keys);
+            let mut ct = ev.encrypt_values(&ramp(ctx.slots()), &mut rng);
+            ct.drop_to(ct.num_limbs() - 2);
+            for steps in [1usize, 5] {
+                let got = ev.rotate(&ct, steps as i64);
+                let g = rotation_element(ctx.n(), steps);
+                let mut c0g = ct.c0.automorphism(g);
+                c0g.to_ntt();
+                let mut c1g = ct.c1.automorphism(g);
+                c1g.to_ntt();
+                let (k0, k1) = ev.key_switch_with(&c1g, &keys.galois_key(g, ct.num_limbs()));
+                c0g.add_assign(&k0);
+                assert!(got.c0.limbs().eq(c0g.limbs()), "c0, steps {steps}");
+                assert!(got.c1.limbs().eq(k1.limbs()), "c1, steps {steps}");
+            }
+        }
     }
 
     #[test]

@@ -235,7 +235,8 @@ impl DiagMatrix {
     /// Each stored generalized diagonal `d` splits into at most two
     /// expanded diagonals: the in-lane part keeps offset `d` (entries
     /// `i < dim − d`), and the wrap-around part moves to offset
-    /// `(lanes−1)·dim + d` (entries `i ≥ dim − d`), so a lane's cyclic
+    /// `(lanes−1)·dim + d` (entries `i ≥ dim − d`; skipped when they
+    /// are all zero, e.g. for an in-place pool tap), so a lane's cyclic
     /// indexing never reads a neighbouring lane's slots. Applied plain,
     /// each lane of the expanded product is **bit-identical** to
     /// [`DiagMatrix::apply_plain`] on that lane alone: per output slot
@@ -268,7 +269,9 @@ impl DiagMatrix {
             for l in 0..lanes {
                 in_lane[l * self.dim..l * self.dim + split].copy_from_slice(&diag[..split]);
             }
-            if d > 0 {
+            // An all-zero wrap part (no entry crosses a lane) is not
+            // stored: it would cost a rotation and add only zeros.
+            if d > 0 && diag[split..].iter().any(|&v| v != 0.0) {
                 let wrap = diags
                     .entry((lanes - 1) * self.dim + d)
                     .or_insert_with(|| vec![0.0; dim]);
@@ -295,10 +298,11 @@ impl DiagMatrix {
     }
 
     /// Exact rotation count of `matvec_bsgs` on
-    /// [`DiagMatrix::block_diag`]`(lanes)`, computed from the diagonal
-    /// offsets alone — the wrap-diagonal doubling (source diagonal `d`
-    /// keeps offset `d` and, when `d > 0`, adds `(lanes−1)·dim + d`)
-    /// is priced without materializing the expanded matrix, so lane
+    /// [`DiagMatrix::block_diag`]`(lanes)`, computed from the source
+    /// diagonals alone — the wrap-diagonal doubling (source diagonal
+    /// `d` keeps offset `d` and, when `d > 0` and some entry
+    /// `i ≥ dim − d` is nonzero, adds `(lanes−1)·dim + d`) is priced
+    /// without materializing the expanded matrix, so lane
     /// planners can query it per candidate lane count for free.
     ///
     /// # Panics
@@ -309,8 +313,9 @@ impl DiagMatrix {
         if lanes == 1 {
             return self.bsgs_rotations();
         }
-        let offsets = self.diags.keys().flat_map(|&d| {
-            let wrap = (d > 0).then(|| (lanes - 1) * self.dim + d);
+        let offsets = self.diags.iter().flat_map(|(&d, diag)| {
+            let crosses = d > 0 && diag[self.dim - d..].iter().any(|&v| v != 0.0);
+            let wrap = crosses.then(|| (lanes - 1) * self.dim + d);
             std::iter::once(d).chain(wrap)
         });
         Self::bsgs_rotations_of(self.dim * lanes, offsets)
@@ -905,6 +910,33 @@ mod tests {
         // lanes·1 would suggest for any matrix with off-diagonals.
         let dense = &shapes[1];
         assert!(dense.bsgs_rotations_lanes(4) > dense.bsgs_rotations());
+    }
+
+    #[test]
+    fn block_diag_skips_all_zero_wrap_diagonals() {
+        // A one-diagonal matrix whose nonzero rows never reach the
+        // wrap-around (the shape of an in-place pool tap) must stay
+        // one diagonal per lane expansion, priced the same as it runs,
+        // and keep the per-lane bit identity.
+        let m = 16;
+        let mut rows = vec![vec![0.0; m]; m];
+        for i in (0..m - 5).step_by(2) {
+            rows[i][i + 5] = 0.25;
+        }
+        let mat = DiagMatrix::from_rows(&rows);
+        assert_eq!(mat.num_diagonals(), 1);
+        let mut rng = Rng64::new(56);
+        for lanes in [2usize, 4, 8] {
+            let big = mat.block_diag(lanes);
+            assert_eq!(big.num_diagonals(), 1, "lanes {lanes}");
+            assert_eq!(mat.bsgs_rotations_lanes(lanes), big.bsgs_rotations());
+            let lanes_in: Vec<Vec<f64>> = (0..lanes).map(|_| random_vec(m, &mut rng)).collect();
+            let packed: Vec<f64> = lanes_in.iter().flatten().copied().collect();
+            let out = big.apply_plain(&packed);
+            for (l, lane) in lanes_in.iter().enumerate() {
+                assert_eq!(&out[l * m..(l + 1) * m], mat.apply_plain(lane).as_slice());
+            }
+        }
     }
 
     #[test]

@@ -331,6 +331,31 @@ proptest! {
         prop_assert_eq!(out_seq, out_par);
     }
 
+    /// NTT-domain rescale is byte-identical to rescaling in the
+    /// coefficient domain between a full inverse and forward NTT, at
+    /// any level and worker budget.
+    #[test]
+    fn ntt_rescale_matches_coefficient_rescale(
+        limbs in 2usize..8,
+        workers in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        use crate::rns::RnsPoly;
+        let ctx = shared().context();
+        let limbs = limbs.min(ctx.primes().len());
+        let mut rng = Rng64::new(seed);
+        let p = RnsPoly::random_uniform(ctx, limbs, &mut rng);
+        let mut fast = p.clone();
+        crate::par::with_thread_budget(workers, || fast.rescale());
+        let mut slow = p.clone();
+        slow.to_coeff();
+        slow.rescale();
+        slow.to_ntt();
+        prop_assert!(fast.is_ntt());
+        prop_assert_eq!(fast.num_limbs(), limbs - 1);
+        prop_assert_eq!(fast.limbs().collect::<Vec<_>>(), slow.limbs().collect::<Vec<_>>());
+    }
+
     /// A bootstrap refresh preserves slot values and restores the top
     /// level regardless of how deep the input sits.
     #[test]

@@ -806,50 +806,62 @@ impl RnsPoly {
     /// that limb. Input may be in either domain; output stays in the
     /// input domain.
     ///
-    /// Runs allocation-free: the last limb is read in place through a
-    /// split borrow of the flat buffer while the surviving limbs are
-    /// rewritten, then truncated away.
+    /// Only the dropped limb changes domain: in NTT form it alone is
+    /// inverse-transformed, and each surviving limb forward-transforms
+    /// the centered residue of it and does the subtract-and-scale in
+    /// the NTT domain. The transforms are linear and every value stays
+    /// canonical, so the result is byte-identical to rescaling in the
+    /// coefficient domain between a full INTT and NTT, for about half
+    /// the transforms (`L` instead of `2L − 1`). Surviving limbs are independent and run on the
+    /// [`crate::par`] worker pool; scratch comes from, and returns to,
+    /// the buffer pool.
     ///
     /// # Panics
     ///
     /// Panics if only one limb remains.
     pub fn rescale(&mut self) {
         assert!(self.num_limbs() > 1, "cannot rescale the last limb");
-        let was_ntt = self.is_ntt;
-        self.to_coeff();
         let n = self.ctx.n();
         let last_idx = self.num_limbs - 1;
         let q_last = self.ctx.primes()[last_idx];
         let half = q_last / 2;
-        let pre = &self.ctx.rescale_pre[last_idx];
-        let (head, last) = self.data.split_at_mut(last_idx * n);
-        let last = &last[..n];
-        for (i, limb) in head.chunks_exact_mut(n).enumerate() {
-            let pa = self.ctx.arith(i);
+        let is_ntt = self.is_ntt;
+        let ctx = &self.ctx;
+        let pre = &ctx.rescale_pre[last_idx];
+        let mut last_buf = pool::acquire(n);
+        last_buf.copy_from_slice(&self.data[last_idx * n..]);
+        if is_ntt {
+            ctx.ntt[last_idx].inverse(&mut last_buf);
+        }
+        let last = &last_buf[..];
+        crate::par::for_each_chunk_mut(&mut self.data[..last_idx * n], n, |i, limb| {
+            let pa = ctx.arith(i);
             let q = pa.q();
             let RescalePre {
                 q_last_mod,
                 inv,
                 inv_shoup,
             } = pre[i];
-            for (x, &l) in limb.iter_mut().zip(last) {
-                // Round(X / q_last) = (X - l') / q_last where l' is the
-                // centered remainder of X mod q_last.
-                let mut l_centered = pa.reduce_u128(l as u128);
+            // Round(X / q_last) = (X - l') / q_last where l' is the
+            // centered remainder of X mod q_last.
+            let mut centered = pool::acquire(n);
+            for (c, &l) in centered.iter_mut().zip(last) {
+                *c = pa.reduce_u128(l as u128);
                 if l >= half {
-                    l_centered = sub_mod(l_centered, q_last_mod, q);
+                    *c = sub_mod(*c, q_last_mod, q);
                 }
-                let num = sub_mod(*x, l_centered, q);
-                *x = pa.mul_shoup(num, inv, inv_shoup);
             }
-        }
+            if is_ntt {
+                ctx.ntt[i].forward(&mut centered);
+            }
+            for (x, &c) in limb.iter_mut().zip(centered.iter()) {
+                *x = pa.mul_shoup(sub_mod(*x, c, q), inv, inv_shoup);
+            }
+            pool::release(centered);
+        });
+        pool::release(last_buf);
         self.num_limbs = last_idx;
         self.data.truncate(self.num_limbs * n);
-        if was_ntt {
-            self.to_ntt();
-        } else {
-            self.is_ntt = false;
-        }
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` for odd `g`.

@@ -100,7 +100,7 @@ pub use backends::{CkksBackend, PlainBackend, StageTrace, TraceBackend, TraceRep
 pub use batch::{BatchRun, BatchRunner};
 pub use describe::{fnv1a_64, PipelineDesc, StageDesc};
 pub use exec::{InferenceBackend, PafOp, RunError, RunStats};
-pub use maxpool::pool_taps;
+pub use maxpool::{pool_taps, window_anchors};
 pub use pack::{LanePacker, PackError, PackedBatch, SlotLayout};
 pub use pipeline::{HePipeline, PipelineBuilder, Stage};
 pub use serve::{BatchService, ServeConfig, ServeError, ServeStats, Server, TenantId, Ticket};

@@ -2,7 +2,7 @@
 //! matrices and compiling an alternating affine/PAF stage list.
 
 use crate::exec::RunError;
-use crate::maxpool::pool_taps;
+use crate::maxpool::{pool_taps, window_anchors};
 use smartpaf_ckks::DiagMatrix;
 use smartpaf_nn::{Layer, Mode};
 use smartpaf_polyfit::{CompositeEval, CompositePaf, PafForm, PafSlotKind};
@@ -33,6 +33,16 @@ pub enum Stage {
     /// A PAF max pool: window taps (pre-scaled by `1/s` at compile
     /// time, so tap selection costs one level total) followed by the
     /// nested PAF-max fold of §5.4.3, then `post_scale`.
+    ///
+    /// When an affine stage consumes the pool — directly or through
+    /// PAF-ReLU stages — the pool is compiled **in place**: window
+    /// `(c, oy, ox)`'s max stays at its anchor slot
+    /// `(c·H + oy·s)·W + ox·s` of the pool's input layout, each tap is
+    /// the single diagonal at offset `dy·W + dx` holding `1/s` on the
+    /// anchor rows, and the consuming affine's columns are scattered
+    /// onto the anchors. A pool with no affine consumer (trailing, or
+    /// feeding another pool) emits the compact `(C, Ho, Wo)` layout
+    /// (see [`pool_taps`]).
     PafMax {
         /// One selection matrix per window offset, already scaled.
         taps: Vec<DiagMatrix>,
@@ -110,6 +120,8 @@ enum RawStage {
         shape: Vec<usize>,
         k: usize,
         stride: usize,
+        /// Output slot of each window, compact `(c, oy, ox)` order.
+        out_slots: Vec<usize>,
         paf: CompositePaf,
         scale: f64,
     },
@@ -277,6 +289,7 @@ impl PipelineBuilder {
                         shape: in_shape,
                         k,
                         stride,
+                        out_slots: (0..shape.iter().product::<usize>()).collect(),
                         paf,
                         scale,
                     });
@@ -285,6 +298,40 @@ impl PipelineBuilder {
         }
         flush(&mut pending, &mut shape, &mut raw);
         let output_dim: usize = shape.iter().product();
+
+        // In-place pools: a pool whose output reaches an affine stage
+        // through nothing but elementwise ReLUs leaves each window's
+        // max at its anchor slot, and that affine reads the anchors
+        // directly — the compaction costs no rotations at all.
+        for i in 0..raw.len() {
+            let RawStage::Max {
+                shape, k, stride, ..
+            } = &raw[i]
+            else {
+                continue;
+            };
+            let Some(j) = (i + 1..raw.len()).find(|&j| !matches!(raw[j], RawStage::Relu { .. }))
+            else {
+                continue;
+            };
+            if !matches!(raw[j], RawStage::Affine { .. }) {
+                continue;
+            }
+            let anchors = window_anchors(shape, *k, *stride);
+            let in_len: usize = shape.iter().product();
+            if let RawStage::Affine { rows, .. } = &mut raw[j] {
+                for row in rows.iter_mut() {
+                    let mut wide = vec![0.0; in_len];
+                    for (&a, &v) in anchors.iter().zip(row.iter()) {
+                        wide[a] = v;
+                    }
+                    *row = wide;
+                }
+            }
+            if let RawStage::Max { out_slots, .. } = &mut raw[i] {
+                *out_slots = anchors;
+            }
+        }
 
         // Global padded dimension: every stage shares one slot layout.
         let mut dim = input_dim.max(output_dim);
@@ -316,11 +363,14 @@ impl PipelineBuilder {
                     shape,
                     k,
                     stride,
+                    out_slots,
                     paf,
                     scale,
                 } => {
-                    let (taps, _) = pool_taps(&shape, k, stride, dim);
-                    let taps = taps.into_iter().map(|t| t.scaled(1.0 / scale)).collect();
+                    let taps = pool_taps(&shape, k, stride, &out_slots, dim)
+                        .into_iter()
+                        .map(|t| t.scaled(1.0 / scale))
+                        .collect();
                     Stage::PafMax {
                         taps,
                         paf,
@@ -902,6 +952,155 @@ mod tests {
                 let g = got[oy * 2 + ox];
                 assert!((g - m).abs() < 0.25, "window ({oy},{ox}): {g} vs {m}");
             }
+        }
+    }
+
+    /// conv 2→2 → PAF-ReLU(4) → PAF max pool 2×2 (8) → flatten →
+    /// linear 32→5 on `(2, 8, 8)`, from one weight seed.
+    fn conv_pool_head(seed: u64, paf: &CompositePaf) -> PipelineBuilder {
+        let mut rng = Rng64::new(seed);
+        PipelineBuilder::new(&[2, 8, 8])
+            .affine(Conv2d::new(2, 2, 3, 1, 1, &mut rng))
+            .paf_relu(paf, 4.0)
+            .paf_maxpool(2, 2, paf, 8.0)
+            .affine(Flatten::new())
+            .affine(Linear::new(32, 5, &mut rng))
+    }
+
+    #[test]
+    fn in_place_pool_matches_layerwise_reference() {
+        let paf = relu_paf();
+        let seed = 43;
+        let x_t = Tensor::rand_normal(&[1, 2, 8, 8], 0.0, 1.0, &mut Rng64::new(44));
+        // Reference: the same layers one at a time, with the PAF max
+        // folded pairwise in tap order on the 1/s-scaled window values.
+        let mut rng = Rng64::new(seed);
+        let mut conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng);
+        let mut lin = Linear::new(32, 5, &mut rng);
+        let h = conv.forward(&x_t, Mode::Eval);
+        let h: Vec<f64> = h
+            .data()
+            .iter()
+            .map(|&v| 4.0 * paf.relu(v as f64 / 4.0))
+            .collect();
+        let mut pooled = Vec::with_capacity(32);
+        for c in 0..2 {
+            for oy in 0..4 {
+                for ox in 0..4 {
+                    let at =
+                        |dy: usize, dx: usize| h[(c * 8 + 2 * oy + dy) * 8 + 2 * ox + dx] / 8.0;
+                    let m = paf.max(paf.max(at(0, 0), at(0, 1)), paf.max(at(1, 0), at(1, 1)));
+                    pooled.push((8.0 * m) as f32);
+                }
+            }
+        }
+        let want = lin.forward(&Tensor::from_vec(pooled, &[1, 32]), Mode::Eval);
+
+        let pipe = conv_pool_head(seed, &paf).compile();
+        // The linear reads the pool's anchors: its input is the whole
+        // (2, 8, 8) layout, not the compact 32 windows.
+        let Stage::Affine { mat, .. } = &pipe.stages()[3] else {
+            panic!("stage 3 is the consuming affine");
+        };
+        assert_eq!((mat.out_dim(), mat.in_dim()), (5, 128));
+        let x: Vec<f64> = x_t.data().iter().map(|&v| v as f64).collect();
+        let got = pipe.eval_plain(&x);
+        assert_eq!(got.len(), 5);
+        for (g, w) in got.iter().zip(want.data()) {
+            assert!((g - *w as f64).abs() < 1e-4, "{g} vs {w}");
+        }
+        // Folding the pool's post-scale into the linear keeps it exact.
+        let folded = conv_pool_head(seed, &paf).compile().fold_scales();
+        for (g, f) in got.iter().zip(folded.eval_plain(&x)) {
+            assert!((g - f).abs() < 1e-9, "{g} vs {f}");
+        }
+    }
+
+    #[test]
+    fn in_place_pool_costs_three_rotations() {
+        let pipe = conv_pool_head(45, &relu_paf()).compile().fold_scales();
+        assert_eq!(pipe.dim(), 128);
+        let (report, _) = pipe.dry_run(30, false).expect("fits");
+        let pool = &report.stages[2];
+        assert!(pool.label.starts_with("paf-max"), "{}", pool.label);
+        // Tap offsets 0, 1, 8, 9 at dim 128 (g1 = 12): three baby
+        // steps and no giant step.
+        assert_eq!(pool.rotations, 3);
+    }
+
+    #[test]
+    fn in_place_pool_encrypted_matches_plain() {
+        use smartpaf_ckks::{Bootstrapper, CkksParams, Evaluator, KeyChain, PafEvaluator};
+        let paf = relu_paf();
+        let pipe = conv_pool_head(46, &paf).compile().fold_scales();
+        let ctx = CkksParams::toy().build();
+        let mut rng = Rng64::new(47);
+        let keys = KeyChain::generate(&ctx, &mut rng);
+        let pe = PafEvaluator::new(Evaluator::new(&keys));
+        let bs = Bootstrapper::new(pe.evaluator().clone(), pipe.dim(), 48);
+        let x: Vec<f64> = (0..128)
+            .map(|i| ((i * 7) % 13) as f64 / 6.0 - 1.0)
+            .collect();
+        let ct = pe
+            .evaluator()
+            .encrypt_replicated(&pipe.pad_input(&x), &mut rng);
+        let (out, _) = pipe.eval_encrypted(&pe, Some(&bs), &ct);
+        let got = pe.evaluator().decrypt_values(&out, pipe.output_dim());
+        for (g, w) in got.iter().zip(pipe.eval_plain(&x)) {
+            assert!((g - w).abs() < 0.1, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn pools_without_an_affine_consumer_stay_compact() {
+        let paf = CompositePaf::from_form(PafForm::Alpha7);
+        let x: Vec<f64> = (0..64)
+            .map(|i| ((i * 11) % 17) as f64 / 8.0 - 1.0)
+            .collect();
+        // Trailing pool (through a trailing ReLU): compact (1, 4, 4).
+        let trailing = PipelineBuilder::new(&[1, 8, 8])
+            .paf_maxpool(2, 2, &paf, 4.0)
+            .paf_relu(&paf, 4.0)
+            .compile();
+        assert_eq!(trailing.output_dim(), 16);
+        let Stage::PafMax { taps, .. } = &trailing.stages()[0] else {
+            panic!("stage 0 is the pool");
+        };
+        assert!(taps.iter().all(|t| t.out_dim() == 16));
+        let exact = |x: &[f64], h: usize, oy: usize, ox: usize| {
+            let mut m = f64::NEG_INFINITY;
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    m = m.max(x[(2 * oy + dy) * h + 2 * ox + dx]);
+                }
+            }
+            m
+        };
+        let got = trailing.eval_plain(&x);
+        for oy in 0..4 {
+            for ox in 0..4 {
+                let (g, m) = (got[oy * 4 + ox], exact(&x, 8, oy, ox).max(0.0));
+                assert!((g - m).abs() < 0.1, "({oy},{ox}): {g} vs {m}");
+            }
+        }
+        // Pool → pool: the first pool feeds a pool, not an affine, so
+        // it stays compact too; the second is trailing.
+        let twice = PipelineBuilder::new(&[1, 8, 8])
+            .paf_maxpool(2, 2, &paf, 4.0)
+            .paf_maxpool(2, 2, &paf, 4.0)
+            .compile();
+        assert_eq!(twice.output_dim(), 4);
+        for (stage, out_dim) in twice.stages().iter().zip([16, 4]) {
+            let Stage::PafMax { taps, .. } = stage else {
+                panic!("pool stages only");
+            };
+            assert!(taps.iter().all(|t| t.out_dim() == out_dim));
+        }
+        let got = twice.eval_plain(&x);
+        let first: Vec<f64> = (0..16).map(|o| exact(&x, 8, o / 4, o % 4)).collect();
+        for (o, g) in got.iter().enumerate() {
+            let m = exact(&first, 4, o / 2, o % 2);
+            assert!((g - m).abs() < 0.2, "window {o}: {g} vs {m}");
         }
     }
 
