@@ -1,7 +1,7 @@
 //! Ciphertexts and homomorphic operations.
 
 use crate::encoding::{Encoder, Plaintext};
-use crate::keys::{truncate, KeyChain, DIGIT_BITS};
+use crate::keys::{truncate, KeyChain};
 use crate::rns::{CkksContext, RnsPoly};
 use smartpaf_tensor::Rng64;
 use std::sync::Arc;
@@ -272,74 +272,14 @@ impl Evaluator {
 
     /// Gadget-decomposes `p` and applies a key-switching key: returns
     /// `(k0, k1)` with `k0 + k1·s ≈ p·s'` for the key's embedded
-    /// switched-from secret `s'`. Dispatches on the key's gadget
-    /// layout (which follows the context's [`crate::KeySwitchGadget`]).
+    /// switched-from secret `s'`.
     pub(crate) fn key_switch_with(
         &self,
         p: &RnsPoly,
         key: &crate::keys::RelinKey,
     ) -> (RnsPoly, RnsPoly) {
-        let nl = p.num_limbs();
-        assert_eq!(key.num_limbs(), nl, "key level mismatch");
-        match &key.inner {
-            crate::keys::KskInner::PerPrime(components) => self.key_switch_per_prime(p, components),
-            crate::keys::KskInner::Hybrid(ksk) => self.key_switch_hybrid(p, ksk),
-        }
-    }
-
-    /// The legacy per-prime digit gadget: one component per
-    /// `(prime, base-2^16 digit)` pair.
-    fn key_switch_per_prime(
-        &self,
-        p: &RnsPoly,
-        components: &[crate::keys::RelinComponent],
-    ) -> (RnsPoly, RnsPoly) {
-        let nl = p.num_limbs();
-        let mut d2c = p.clone();
-        d2c.to_coeff();
-        let n = self.ctx.n();
-        let mask = (1u64 << DIGIT_BITS) - 1;
-        // Lazy accumulation: pile raw 128-bit products into wide
-        // scratch buffers and Barrett-reduce once at the end. The sum
-        // mod q_i is identical to the eager reduce-per-product chain,
-        // but the inner loop sheds one reduction per component per
-        // accumulator — the single largest cost in relinearisation
-        // after the NTTs. Headroom (how many products fit before a
-        // flush) is ~2^8 for 60-bit primes, above any component count.
-        let mut lazy0 = crate::pool::acquire_wide_zeroed(nl * n);
-        let mut lazy1 = crate::pool::acquire_wide_zeroed(nl * n);
-        let headroom = self.ctx.lazy_acc_headroom(nl);
-        let mut pending = 0usize;
-        let mut digit_coeffs = crate::pool::acquire(n);
-        for comp in components {
-            // Extract this component's digit of the residues mod q_i.
-            let src = d2c.limb(comp.prime_index);
-            let shift = DIGIT_BITS * comp.digit;
-            let mut all_zero = true;
-            for (dst, &c) in digit_coeffs.iter_mut().zip(src) {
-                *dst = (c >> shift) & mask;
-                all_zero &= *dst == 0;
-            }
-            if all_zero {
-                continue;
-            }
-            let mut u = RnsPoly::from_unsigned_coeffs(&self.ctx, &digit_coeffs, nl);
-            u.to_ntt();
-            if pending == headroom {
-                RnsPoly::reduce_lazy_in_place(&self.ctx, &mut lazy0, nl);
-                RnsPoly::reduce_lazy_in_place(&self.ctx, &mut lazy1, nl);
-                pending = 0;
-            }
-            u.mul_into_lazy(&comp.b, &mut lazy0);
-            u.mul_into_lazy(&comp.a, &mut lazy1);
-            pending += 1;
-        }
-        crate::pool::release(digit_coeffs);
-        let acc0 = RnsPoly::from_lazy_accumulator(&self.ctx, &lazy0, nl, true);
-        let acc1 = RnsPoly::from_lazy_accumulator(&self.ctx, &lazy1, nl, true);
-        crate::pool::release_wide(lazy0);
-        crate::pool::release_wide(lazy1);
-        (acc0, acc1)
+        assert_eq!(key.num_limbs(), p.num_limbs(), "key level mismatch");
+        self.key_switch_hybrid(p, &key.ksk)
     }
 
     /// The hybrid ω-limb gadget. Pipeline per digit `j` covering chain
@@ -545,6 +485,88 @@ mod tests {
         let mut rng = Rng64::new(seed);
         let keys = KeyChain::generate(&ctx, &mut rng);
         (Evaluator::new(&keys), rng)
+    }
+
+    /// The key-switch identity, checked against the secret key rather
+    /// than against another key-switch implementation: for any `p` at
+    /// `L` limbs, `key_switch_with(p, key)` returns `(k0, k1)` with
+    /// `k0 + k1·s − p·s'` centered-small in every chain limb, for
+    /// `s' = s²` (relin keys) and `s' = φ_g(s)` (Galois keys).
+    ///
+    /// Bound. Let `D = ⌈L/ω⌉` be the digit count, `k = min(ω, L)` the
+    /// special primes in use with product `P`, `Q_j` the digit moduli
+    /// (each a product of at most `k` chain primes) and `B_e` the
+    /// keygen error bound. A raised digit `c̃_j = Σ_i y_i·(Q_j/q_i)`
+    /// has coefficients in `[0, k·Q_j)`, and the key relation
+    /// `b_j + a_j·s = e_j + P·G_j·s'` (with `Σ_j c̃_j·G_j ≡ p mod Q`)
+    /// gives `acc0 + acc1·s ≡ P·p·s' + Σ_j c̃_j·e_j (mod Q·P)`, where
+    /// `‖Σ_j c̃_j·e_j‖∞ ≤ D·n·k·max_j Q_j·B_e` (a negacyclic product
+    /// sums `n` terms). The mod-down's fast base conversion replaces
+    /// `acc mod P` by a representative `x ∈ [0, k·P)`, adding at most
+    /// `k·P + n·k·P` (through `x1·s`, `s` ternary). Dividing by `P`
+    /// (exact, since the total is far below `Q·P/2`):
+    ///
+    /// `‖k0 + k1·s − p·s'‖∞ ≤ D·n·k·B_e·(max_j Q_j / P) + (n + 1)·k`.
+    ///
+    /// `B_e` comes from the sampler: Box–Muller clamps its uniform draw
+    /// at `1e-300`, so `|g| ≤ √(−2·ln 1e-300)` and a rounded error is
+    /// at most `⌈σ·√(−2·ln 1e-300)⌉` (120 at σ = 3.2).
+    #[test]
+    fn key_switch_satisfies_gadget_identity() {
+        for omega in [1usize, 3, 8] {
+            let ctx = CkksParams {
+                ks_digit_limbs: omega,
+                ..CkksParams::toy()
+            }
+            .build();
+            let n = ctx.n();
+            let b_e = (ctx.sigma() * (-2.0 * 1e-300f64.ln()).sqrt()).ceil();
+            let mut rng = Rng64::new(60 + omega as u64);
+            let keys = KeyChain::generate(&ctx, &mut rng);
+            let ev = Evaluator::new(&keys);
+            for nl in [1usize, 2, 5, 9, 13] {
+                let k = omega.min(nl);
+                let digits = nl.div_ceil(k);
+                let p_mod: f64 = ctx.special_primes()[..k]
+                    .iter()
+                    .map(|&p| p as f64)
+                    .product();
+                let q_max = ctx.primes()[..nl]
+                    .chunks(k)
+                    .map(|g| g.iter().map(|&q| q as f64).product::<f64>())
+                    .fold(0.0, f64::max);
+                let bound = (digits * n * k) as f64 * b_e * (q_max / p_mod) + ((n + 1) * k) as f64;
+
+                let s = truncate(keys.secret_key_internal(), nl);
+                let mut p = RnsPoly::random_uniform(&ctx, nl, &mut rng);
+                p.to_ntt();
+                let mut switches = vec![("relin", s.mul(&s), keys.relin_key(nl))];
+                for g in [5, 2 * n - 1] {
+                    let mut s_g = s.automorphism(g);
+                    s_g.to_ntt();
+                    switches.push(("galois", s_g, keys.galois_key(g, nl)));
+                }
+                for (kind, s_prime, key) in switches {
+                    let (k0, k1) = ev.key_switch_with(&p, &key);
+                    let mut resid = k0.add(&k1.mul(&s)).sub(&p.mul(&s_prime));
+                    resid.to_coeff();
+                    for (t, &q) in ctx.primes()[..nl].iter().enumerate() {
+                        for (c, &r) in resid.limb(t).iter().enumerate() {
+                            let centered = if r > q / 2 {
+                                r as i128 - q as i128
+                            } else {
+                                r as i128
+                            };
+                            assert!(
+                                centered.abs() as f64 <= bound,
+                                "ω={omega} L={nl} {kind} limb {t} coeff {c}: \
+                                 {centered} exceeds {bound}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

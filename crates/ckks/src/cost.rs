@@ -25,74 +25,50 @@ pub struct OpCounts {
     pub modmuls: u128,
 }
 
-/// Digit count of the relinearisation gadget for a prime of `bits`
-/// bits (mirrors `keys::DIGIT_BITS`).
-fn digits_for(bits: u32) -> usize {
-    bits.div_ceil(crate::keys::DIGIT_BITS) as usize
+/// Digit size of the hybrid gadget at `limbs` limbs: ω clamped to the
+/// chain length.
+fn omega_at(params: &CkksParams, limbs: usize) -> usize {
+    params.ks_digit_limbs.min(limbs).max(1)
 }
 
 /// Digit count of the hybrid gadget at `limbs` limbs: ⌈limbs/ω⌉ with
-/// ω clamped to the chain length. Only meaningful when
-/// `params.ks_digit_limbs > 0`.
+/// ω clamped to the chain length.
 pub fn hybrid_digits(params: &CkksParams, limbs: usize) -> usize {
-    let omega = params.ks_digit_limbs.min(limbs).max(1);
-    limbs.div_ceil(omega)
+    limbs.div_ceil(omega_at(params, limbs))
 }
 
-/// NTT passes consumed by one key switch at `limbs` limbs under the
-/// configured gadget.
-///
-/// Per-prime (`ks_digit_limbs == 0`): one digit-lift NTT per
-/// (prime, base-2^16 digit) component.
-///
-/// Hybrid ω: `limbs` inverse NTTs of the input, one forward NTT per
-/// (digit, extended-basis limb) of the raised decomposition, then the
-/// mod-down round trip — per accumulator component, `k` inverse NTTs
-/// of the special limbs plus `limbs` forward NTTs of the correction.
+/// NTT passes consumed by one key switch at `limbs` limbs: `limbs`
+/// inverse NTTs of the input, one forward NTT per (digit,
+/// extended-basis limb) of the raised decomposition, then the mod-down
+/// round trip — per accumulator component, `k` inverse NTTs of the
+/// special limbs plus `limbs` forward NTTs of the correction.
 pub fn key_switch_ntts(params: &CkksParams, limbs: usize) -> usize {
-    if params.ks_digit_limbs == 0 {
-        limbs * digits_for(params.scale_prime_bits)
-    } else {
-        let omega = params.ks_digit_limbs.min(limbs).max(1);
-        let k = omega;
-        let ext = limbs + k;
-        let digits = limbs.div_ceil(omega);
-        limbs + digits * ext + 2 * (k + limbs)
-    }
+    let k = omega_at(params, limbs);
+    let ext = limbs + k;
+    limbs + hybrid_digits(params, limbs) * ext + 2 * (k + limbs)
 }
 
-/// Modular multiplies of one key switch at `limbs` limbs under the
-/// configured gadget (the relinearisation/rotation core, excluding the
-/// tensor product or automorphism around it).
+/// Modular multiplies of one key switch at `limbs` limbs (the
+/// relinearisation/rotation core, excluding the tensor product or
+/// automorphism around it).
 ///
-/// Per-prime: 2 key-component ring mults per (prime, digit) component
-/// against each of `limbs` input limbs — the digit-lift NTTs are
-/// tracked separately in [`key_switch_ntts`], mirroring the pre-gadget
-/// model so recorded plans re-price identically.
-///
-/// Hybrid ω (exact counts for the implemented kernel): the NTT passes
-/// above at n mults each, plus per-coefficient work — Shoup scaling by
+/// Exact counts for the implemented kernel: the NTT passes above at n
+/// mults each, plus per-coefficient work — Shoup scaling by
 /// (Q_j/q_i)^-1 (`limbs`·n), the raised accumulation Σ yᵢ·(Q_j/q_i)
 /// into the out-of-group extended limbs (`digits·(ext−ω)·ω`·n), the
 /// lazy inner products against both key components (`2·digits·ext`·n),
 /// and the mod-down by P (`2·(k + limbs·k + limbs)`·n).
 pub fn key_switch_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    let n = params.n as u128;
-    if params.ks_digit_limbs == 0 {
-        let digits = digits_for(params.scale_prime_bits);
-        2 * (limbs as u128) * ((limbs * digits) as u128) * n
-    } else {
-        let omega = params.ks_digit_limbs.min(limbs).max(1);
-        let k = omega;
-        let ext = limbs + k;
-        let digits = limbs.div_ceil(omega);
-        let ntts = key_switch_ntts(params, limbs) as u128;
-        let scale = limbs as u128;
-        let raise = (digits * (ext - omega) * omega) as u128;
-        let accumulate = 2 * (digits * ext) as u128;
-        let mod_down = 2 * (k + limbs * k + limbs) as u128;
-        (ntts + scale + raise + accumulate + mod_down) * n
-    }
+    let omega = omega_at(params, limbs);
+    let k = omega;
+    let ext = limbs + k;
+    let digits = hybrid_digits(params, limbs);
+    let ntts = key_switch_ntts(params, limbs) as u128;
+    let scale = limbs as u128;
+    let raise = (digits * (ext - omega) * omega) as u128;
+    let accumulate = 2 * (digits * ext) as u128;
+    let mod_down = 2 * (k + limbs * k + limbs) as u128;
+    (ntts + scale + raise + accumulate + mod_down) * params.n as u128
 }
 
 /// Work of one ciphertext-ciphertext multiply + relinearisation at
@@ -198,20 +174,11 @@ pub fn project_seconds(counts: &OpCounts, seconds_per_modmul: f64) -> f64 {
 /// given limb count, in 64-bit modular multiplies.
 ///
 /// A rotation costs the same key-switch as a relinearisation plus the
-/// automorphism permutation, and consumes no level.
+/// automorphism permutation, and consumes no level: c0's automorphism
+/// round trip is charged here, and the key switch of c1 already prices
+/// its own NTT passes.
 pub fn rotation_modmuls(params: &CkksParams, limbs: usize) -> u128 {
-    let n = params.n as u128;
-    if params.ks_digit_limbs == 0 {
-        // iNTT to coefficient form (2 components), permutation
-        // (free-ish), then the per-prime key switch. The digit-lift
-        // NTTs are charged here at n mults each, as before the gadget.
-        let ntts = 2 * limbs + key_switch_ntts(params, limbs);
-        (ntts as u128) * n + key_switch_modmuls(params, limbs)
-    } else {
-        // c0's automorphism round trip; the hybrid key switch of c1
-        // already prices its own NTT passes.
-        2 * (limbs as u128) * n + key_switch_modmuls(params, limbs)
-    }
+    2 * (limbs as u128) * (params.n as u128) + key_switch_modmuls(params, limbs)
 }
 
 /// Work of one Halevi–Shoup matrix–vector product with `diagonals`
@@ -357,49 +324,26 @@ mod tests {
     }
 
     #[test]
-    fn per_prime_pricing_unchanged_by_gadget_refactor() {
-        // Plans recorded before the hybrid gadget carry
-        // ks_digit_limbs = 0 and must re-price to the exact pre-gadget
-        // closed forms.
-        let params = CkksParams {
-            ks_digit_limbs: 0,
-            ..CkksParams::default_params()
-        };
-        let n = params.n as u128;
-        let digits = digits_for(params.scale_prime_bits);
-        for limbs in [1usize, 5, 13] {
+    fn key_switch_prices_are_pinned() {
+        // Exact values at the default preset (N = 4096, ω = 3), so the
+        // planner's prices provably do not move under a refactor.
+        let params = CkksParams::default_params();
+        assert_eq!(params.ks_digit_limbs, 3);
+        for (limbs, ntts, key_switch, rotation, ct_mult) in [
+            (1usize, 7usize, 77_824u128, 86_016u128, 94_208u128),
+            (5, 37, 614_400, 655_360, 696_320),
+            (13, 125, 2_469_888, 2_576_384, 2_682_880),
+        ] {
+            assert_eq!(key_switch_ntts(&params, limbs), ntts, "{limbs} limbs");
             assert_eq!(
-                ct_mult_modmuls(&params, limbs),
-                (limbs as u128) * n * (4 + 2 * (limbs * digits) as u128)
+                key_switch_modmuls(&params, limbs),
+                key_switch,
+                "{limbs} limbs"
             );
-            let ntts = 2 * limbs + limbs * digits;
-            assert_eq!(
-                rotation_modmuls(&params, limbs),
-                (ntts as u128) * n + (limbs as u128) * n * (2 * (limbs * digits) as u128)
-            );
-            assert_eq!(key_switch_ntts(&params, limbs), limbs * digits);
+            assert_eq!(rotation_modmuls(&params, limbs), rotation, "{limbs} limbs");
+            assert_eq!(ct_mult_modmuls(&params, limbs), ct_mult, "{limbs} limbs");
         }
-    }
-
-    #[test]
-    fn hybrid_gadget_prices_below_per_prime() {
-        // The point of the gadget: at a deep chain the modeled relin
-        // cost drops by the same >= 1.5x the measured kernel shows.
-        let hybrid = CkksParams::default_params();
-        assert_eq!(hybrid.ks_digit_limbs, 3);
-        let per_prime = CkksParams {
-            ks_digit_limbs: 0,
-            ..hybrid
-        };
-        let limbs = hybrid.depth + 1; // 13 at defaults
-        let h = ct_mult_modmuls(&hybrid, limbs);
-        let p = ct_mult_modmuls(&per_prime, limbs);
-        assert!(
-            p as f64 / h as f64 >= 1.5,
-            "hybrid {h} vs per-prime {p} modmuls"
-        );
-        assert!(rotation_modmuls(&hybrid, limbs) < rotation_modmuls(&per_prime, limbs));
-        assert_eq!(hybrid_digits(&hybrid, limbs), 5);
+        assert_eq!(hybrid_digits(&params, params.depth + 1), 5);
     }
 
     #[test]

@@ -250,12 +250,13 @@ impl Encoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modular::ntt_primes;
+    use crate::modular::{ntt_primes, ntt_primes_excluding};
 
     fn setup() -> (Arc<CkksContext>, Encoder) {
         let mut primes = ntt_primes(40, 2, 64);
         primes.insert(0, ntt_primes(50, 1, 64)[0]);
-        let ctx = CkksContext::new(64, primes, (1u64 << 30) as f64);
+        let special = ntt_primes_excluding(50, 1, 64, &primes);
+        let ctx = CkksContext::with_special_primes(64, primes, special, (1u64 << 30) as f64);
         let enc = Encoder::new(&ctx);
         (ctx, enc)
     }

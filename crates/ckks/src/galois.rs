@@ -112,12 +112,12 @@ mod tests {
         // The key switch decomposes its input in coefficient form, so
         // handing it the automorphism's coefficient-form output must
         // give the same bytes as converting to NTT form first.
-        // Both gadgets: hybrid (the toy default) and per-prime.
-        let per_prime = CkksParams {
-            ks_digit_limbs: 0,
+        // Two digit shapes: ω = 3 (the toy default) and ω = 1.
+        let single_limb_digits = CkksParams {
+            ks_digit_limbs: 1,
             ..CkksParams::toy()
         };
-        for params in [CkksParams::toy(), per_prime] {
+        for params in [CkksParams::toy(), single_limb_digits] {
             let ctx = params.build();
             let mut rng = Rng64::new(40);
             let keys = KeyChain::generate(&ctx, &mut rng);

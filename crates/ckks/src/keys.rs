@@ -1,16 +1,12 @@
-//! Key generation: secret/public keys and key-switching keys under one
-//! of two gadgets.
+//! Key generation: secret/public keys and hybrid key-switching keys.
 //!
-//! - **Per-prime** (legacy): BV-style base-`2^16` digit decomposition
-//!   within each RNS limb — `L × ⌈bits/16⌉` components at `L` limbs.
-//! - **Hybrid**: ω RNS limbs group into one digit against ω special
-//!   primes `P = ∏ p_l`; each digit is raised to the extended basis by
-//!   fast base conversion and the accumulated result is scaled back
-//!   down by `P` — only `⌈L/ω⌉` components, which is what makes
-//!   relinearisation at the top of a deep chain cheap.
-//!
-//! The gadget is a context property: [`CkksContext::special_primes`]
-//! non-empty selects hybrid with ω = its length.
+//! Key switching uses one gadget: ω RNS limbs group into one digit
+//! against ω special primes `P = ∏ p_l`
+//! ([`CkksContext::special_primes`], ω = its length). Each digit is
+//! raised to the extended basis by fast base conversion and the
+//! accumulated result is scaled back down by `P`, so a ciphertext with
+//! `L` limbs pays only `⌈L/ω⌉` key components — which is what makes
+//! relinearisation at the top of a deep chain cheap.
 //!
 //! Key-switching keys are level-specific (the RNS gadget depends on
 //! the active prime set), so [`KeyChain`] generates them lazily per
@@ -25,53 +21,6 @@ use smartpaf_tensor::Rng64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Digit width for the per-prime relinearisation gadget
-/// (base `2^DIGIT_BITS`).
-pub const DIGIT_BITS: u32 = 16;
-
-/// Which key-switch gadget a context uses. Determined by
-/// [`CkksContext::special_primes`]; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySwitchGadget {
-    /// Base-`2^digit_bits` digit decomposition within each RNS limb.
-    PerPrime {
-        /// Digit width in bits.
-        digit_bits: u32,
-    },
-    /// ω-limb digits raised against the special-prime modulus `P`.
-    Hybrid {
-        /// Digit size in RNS limbs.
-        omega: usize,
-    },
-}
-
-impl KeySwitchGadget {
-    /// The gadget `ctx` is configured for.
-    pub fn of(ctx: &CkksContext) -> Self {
-        if ctx.special_primes().is_empty() {
-            KeySwitchGadget::PerPrime {
-                digit_bits: DIGIT_BITS,
-            }
-        } else {
-            KeySwitchGadget::Hybrid {
-                omega: ctx.special_primes().len(),
-            }
-        }
-    }
-
-    /// Number of key-switch components for a ciphertext with
-    /// `num_limbs` limbs over the chain `primes`.
-    pub fn component_count(&self, primes: &[u64], num_limbs: usize) -> usize {
-        match *self {
-            KeySwitchGadget::PerPrime { digit_bits } => primes[..num_limbs]
-                .iter()
-                .map(|&q| ((64 - q.leading_zeros()).div_ceil(digit_bits)) as usize)
-                .sum(),
-            KeySwitchGadget::Hybrid { omega } => num_limbs.div_ceil(omega.min(num_limbs)),
-        }
-    }
-}
-
 /// The secret key: a ternary ring element (NTT form, full chain).
 #[derive(Debug, Clone)]
 pub struct SecretKey {
@@ -83,17 +32,6 @@ pub struct SecretKey {
 pub struct PublicKey {
     pub(crate) b: RnsPoly,
     pub(crate) a: RnsPoly,
-}
-
-/// One key-switching component for a `(prime index, digit)` pair:
-/// `(b, a)` with `b = -a·s + e + B^t·ĝ_i·s'` for the switched-from
-/// secret `s'` (`s²` for relinearisation, `φ_g(s)` for Galois keys).
-#[derive(Debug, Clone)]
-pub(crate) struct RelinComponent {
-    pub(crate) b: RnsPoly,
-    pub(crate) a: RnsPoly,
-    pub(crate) prime_index: usize,
-    pub(crate) digit: u32,
 }
 
 /// One digit of a hybrid key-switching key: the grouped chain-limb
@@ -138,16 +76,6 @@ pub(crate) struct HybridKsk {
     pub(crate) p_inv: Vec<(u64, u64)>,
 }
 
-/// The two key-switching key layouts; which one a [`KeyChain`]
-/// produces follows the context's [`KeySwitchGadget`].
-#[derive(Debug, Clone)]
-pub(crate) enum KskInner {
-    /// Per-prime digit components.
-    PerPrime(Vec<RelinComponent>),
-    /// Hybrid ω-limb digits.
-    Hybrid(HybridKsk),
-}
-
 /// A gadget-decomposed key-switching key for one level.
 ///
 /// The same structure serves relinearisation (switching from `s²`) and
@@ -155,8 +83,7 @@ pub(crate) enum KskInner {
 /// secret differs.
 #[derive(Debug, Clone)]
 pub struct RelinKey {
-    pub(crate) inner: KskInner,
-    pub(crate) num_limbs: usize,
+    pub(crate) ksk: HybridKsk,
 }
 
 /// Alias making call sites that key-switch under Galois automorphisms
@@ -166,15 +93,13 @@ pub type KeySwitchKey = RelinKey;
 impl RelinKey {
     /// The level (limb count) this key was generated for.
     pub fn num_limbs(&self) -> usize {
-        self.num_limbs
+        self.ksk.num_limbs
     }
 
-    /// Number of gadget components (digits) in this key.
+    /// Number of gadget components (digits) in this key: `⌈L/ω⌉` at
+    /// `L` limbs, with ω clamped to `L`.
     pub fn component_count(&self) -> usize {
-        match &self.inner {
-            KskInner::PerPrime(components) => components.len(),
-            KskInner::Hybrid(ksk) => ksk.digits.len(),
-        }
+        self.ksk.digits.len()
     }
 }
 
@@ -268,20 +193,8 @@ impl KeyChain {
             .lock()
             .expect("poisoned")
             .fork(num_limbs as u64);
-        match KeySwitchGadget::of(&self.ctx) {
-            KeySwitchGadget::PerPrime { .. } => {
-                let s_trunc = truncate(&self.sk.s, num_limbs);
-                let s2 = s_trunc.mul(&s_trunc);
-                self.generate_ksk(&s2, num_limbs, &mut rng)
-            }
-            KeySwitchGadget::Hybrid { .. } => RelinKey {
-                inner: KskInner::Hybrid(self.generate_hybrid_ksk(
-                    SwitchedSecret::Square,
-                    num_limbs,
-                    &mut rng,
-                )),
-                num_limbs,
-            },
+        RelinKey {
+            ksk: self.generate_hybrid_ksk(SwitchedSecret::Square, num_limbs, &mut rng),
         }
     }
 
@@ -304,62 +217,14 @@ impl KeyChain {
             .lock()
             .expect("poisoned")
             .fork(0x47414C ^ ((g as u64) << 16) ^ num_limbs as u64);
-        let key = match KeySwitchGadget::of(&self.ctx) {
-            KeySwitchGadget::PerPrime { .. } => {
-                let s_trunc = truncate(&self.sk.s, num_limbs);
-                let mut s_g = s_trunc.automorphism(g);
-                s_g.to_ntt();
-                self.generate_ksk(&s_g, num_limbs, &mut rng)
-            }
-            KeySwitchGadget::Hybrid { .. } => RelinKey {
-                inner: KskInner::Hybrid(self.generate_hybrid_ksk(
-                    SwitchedSecret::Auto(g),
-                    num_limbs,
-                    &mut rng,
-                )),
-                num_limbs,
-            },
-        };
-        let key = Arc::new(key);
+        let key = Arc::new(RelinKey {
+            ksk: self.generate_hybrid_ksk(SwitchedSecret::Auto(g), num_limbs, &mut rng),
+        });
         self.galois_cache
             .lock()
             .expect("poisoned")
             .insert(cache_key, Arc::clone(&key));
         key
-    }
-
-    /// Generates a gadget-decomposed key-switching key embedding the
-    /// switched-from secret `s_prime` (NTT form, `num_limbs` limbs).
-    fn generate_ksk(&self, s_prime: &RnsPoly, num_limbs: usize, rng: &mut Rng64) -> RelinKey {
-        let ctx = &self.ctx;
-        let s_trunc = truncate(&self.sk.s, num_limbs);
-        let mut components = Vec::new();
-        for prime_index in 0..num_limbs {
-            let q_bits = 64 - ctx.primes()[prime_index].leading_zeros();
-            let digits = q_bits.div_ceil(DIGIT_BITS);
-            for digit in 0..digits {
-                let a = RnsPoly::random_uniform(ctx, num_limbs, rng);
-                let mut e = RnsPoly::random_error(ctx, num_limbs, rng);
-                e.to_ntt();
-                // gadget = B^digit * ĝ_i, which in RNS is the vector
-                // that is B^digit at limb prime_index and 0 elsewhere.
-                let mut scalars = vec![0u64; num_limbs];
-                let q_i = ctx.primes()[prime_index];
-                scalars[prime_index] = mod_pow2(DIGIT_BITS * digit, q_i);
-                let gadget_sp = s_prime.mul_scalar_residues(&scalars);
-                let b = a.mul(&s_trunc).neg().add(&e).add(&gadget_sp);
-                components.push(RelinComponent {
-                    b,
-                    a,
-                    prime_index,
-                    digit,
-                });
-            }
-        }
-        RelinKey {
-            inner: KskInner::PerPrime(components),
-            num_limbs,
-        }
     }
 
     /// Residues of signed coefficients modulo every limb of the
@@ -569,15 +434,6 @@ enum SwitchedSecret {
     Auto(usize),
 }
 
-/// `2^e mod q` without overflow.
-fn mod_pow2(e: u32, q: u64) -> u64 {
-    let mut acc = 1u64 % q;
-    for _ in 0..e {
-        acc = (acc * 2) % q;
-    }
-    acc
-}
-
 /// Copies the first `num_limbs` limbs of an NTT-form element (one
 /// flat prefix `memcpy` into a pooled buffer).
 pub(crate) fn truncate(p: &RnsPoly, num_limbs: usize) -> RnsPoly {
@@ -589,15 +445,6 @@ pub(crate) fn truncate(p: &RnsPoly, num_limbs: usize) -> RnsPoly {
 mod tests {
     use super::*;
     use crate::params::CkksParams;
-
-    /// Toy context forced onto the legacy per-prime gadget.
-    fn per_prime_ctx() -> Arc<CkksContext> {
-        CkksParams {
-            ks_digit_limbs: 0,
-            ..CkksParams::toy()
-        }
-        .build()
-    }
 
     #[test]
     fn keygen_deterministic_per_seed() {
@@ -623,35 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn relin_key_gadget_relation() {
-        // b + a·s = e + B^t ĝ_i s², so (b + a·s) - gadget·s² is small.
-        let ctx = per_prime_ctx();
-        let mut rng = Rng64::new(9);
-        let kc = KeyChain::generate(&ctx, &mut rng);
-        let nl = 3;
-        let rk = kc.relin_key(nl);
-        let s = truncate(&kc.sk.s, nl);
-        let s2 = s.mul(&s);
-        let KskInner::PerPrime(components) = &rk.inner else {
-            panic!("per-prime context produced a hybrid key");
-        };
-        for comp in components.iter().take(4) {
-            let mut scalars = vec![0u64; nl];
-            scalars[comp.prime_index] =
-                mod_pow2(DIGIT_BITS * comp.digit, ctx.primes()[comp.prime_index]);
-            let gadget_s2 = s2.mul_scalar_residues(&scalars);
-            let mut resid = comp.b.add(&comp.a.mul(&s)).sub(&gadget_s2);
-            resid.to_coeff();
-            // Residual is just the error e: check a handful of coeffs
-            // via single-limb reconstruction (e is tiny).
-            for i in (0..ctx.n()).step_by(17) {
-                let r = resid.coeff_to_i128(i, 1);
-                assert!(r.abs() < 64, "relin residual {r}");
-            }
-        }
-    }
-
-    #[test]
     fn relin_cache_reuses() {
         let ctx = CkksParams::toy().build();
         let mut rng = Rng64::new(1);
@@ -659,36 +477,6 @@ mod tests {
         let a = kc.relin_key(2);
         let b = kc.relin_key(2);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn galois_key_gadget_relation() {
-        // b + a·s = e + B^t ĝ_i φ_g(s), so (b + a·s) - gadget·φ_g(s)
-        // must be small.
-        let ctx = per_prime_ctx();
-        let mut rng = Rng64::new(21);
-        let kc = KeyChain::generate(&ctx, &mut rng);
-        let nl = 2;
-        let g = 5;
-        let gk = kc.galois_key(g, nl);
-        let s = truncate(&kc.sk.s, nl);
-        let mut s_g = s.automorphism(g);
-        s_g.to_ntt();
-        let KskInner::PerPrime(components) = &gk.inner else {
-            panic!("per-prime context produced a hybrid key");
-        };
-        for comp in components.iter().take(4) {
-            let mut scalars = vec![0u64; nl];
-            scalars[comp.prime_index] =
-                mod_pow2(DIGIT_BITS * comp.digit, ctx.primes()[comp.prime_index]);
-            let gadget_sg = s_g.mul_scalar_residues(&scalars);
-            let mut resid = comp.b.add(&comp.a.mul(&s)).sub(&gadget_sg);
-            resid.to_coeff();
-            for i in (0..ctx.n()).step_by(13) {
-                let r = resid.coeff_to_i128(i, 1);
-                assert!(r.abs() < 64, "galois residual {r}");
-            }
-        }
     }
 
     #[test]
@@ -704,45 +492,21 @@ mod tests {
     }
 
     #[test]
-    fn mod_pow2_values() {
-        assert_eq!(mod_pow2(0, 97), 1);
-        assert_eq!(mod_pow2(10, 97), 1024 % 97);
-    }
-
-    #[test]
-    fn gadget_selection_follows_context() {
-        assert_eq!(
-            KeySwitchGadget::of(&per_prime_ctx()),
-            KeySwitchGadget::PerPrime {
-                digit_bits: DIGIT_BITS
-            }
-        );
-        assert_eq!(
-            KeySwitchGadget::of(&CkksParams::toy().build()),
-            KeySwitchGadget::Hybrid { omega: 3 }
-        );
-    }
-
-    #[test]
-    fn hybrid_component_count_beats_per_prime() {
+    fn hybrid_component_count_per_level() {
         let ctx = CkksParams::toy().build();
-        let per_prime = KeySwitchGadget::PerPrime {
-            digit_bits: DIGIT_BITS,
-        };
-        let hybrid = KeySwitchGadget::of(&ctx);
-        // 13 limbs: 60-bit base → 4 digits + 12 × 40-bit → 3 each = 40
-        // per-prime components, vs ⌈13/3⌉ = 5 hybrid digits.
-        assert_eq!(per_prime.component_count(ctx.primes(), 13), 40);
-        assert_eq!(hybrid.component_count(ctx.primes(), 13), 5);
+        let mut rng = Rng64::new(5);
+        let kc = KeyChain::generate(&ctx, &mut rng);
+        // ⌈13/3⌉ = 5 digits at the top of the toy chain.
+        assert_eq!(kc.relin_key(13).component_count(), 5);
         // Level-aware digit selection: ω clamps to the live limb count.
-        assert_eq!(hybrid.component_count(ctx.primes(), 2), 1);
-        assert_eq!(hybrid.component_count(ctx.primes(), 1), 1);
+        assert_eq!(kc.relin_key(2).component_count(), 1);
+        assert_eq!(kc.relin_key(1).component_count(), 1);
     }
 
     /// Checks the hybrid key relation `b + a·s − gadget·s' = e` limb
     /// by limb over the extended basis: the residual must be a
     /// centered-small error in every limb.
-    fn assert_hybrid_relation(kc: &KeyChain, ksk: &HybridKsk, sp_coeffs_check: &str) {
+    fn assert_hybrid_relation(kc: &KeyChain, ksk: &HybridKsk, which: SwitchedSecret) {
         let ctx = kc.context();
         let n = ctx.n();
         let nl = ksk.num_limbs;
@@ -758,8 +522,8 @@ mod tests {
                 })
             })
             .collect();
-        let sp_ext = match sp_coeffs_check {
-            "square" => {
+        let sp_ext = match which {
+            SwitchedSecret::Square => {
                 let mut sq = s_ext.clone();
                 for t in 0..ext {
                     let arith = ctx.ext_arith(nl, t);
@@ -769,7 +533,14 @@ mod tests {
                 }
                 sq
             }
-            _ => unreachable!(),
+            SwitchedSecret::Auto(g) => {
+                // φ_g(s) through the ring automorphism of one chain
+                // limb (not keygen's coefficient permutation); ternary
+                // coefficients read back exactly from a single limb.
+                let s_g = RnsPoly::from_signed_coeffs(ctx, &kc.sk_coeffs, 1).automorphism(g);
+                let coeffs: Vec<i64> = (0..n).map(|c| s_g.coeff_to_i128(c, 1) as i64).collect();
+                kc.ext_residues_ntt(&coeffs, nl, k)
+            }
         };
         for digit in &ksk.digits {
             for t in 0..ext {
@@ -810,13 +581,25 @@ mod tests {
         let mut rng = Rng64::new(11);
         let kc = KeyChain::generate(&ctx, &mut rng);
         for nl in [1, 2, 5, 13] {
-            let rk = kc.relin_key(nl);
-            let KskInner::Hybrid(ksk) = &rk.inner else {
-                panic!("hybrid context produced a per-prime key");
-            };
+            let ksk = &kc.relin_key(nl).ksk;
             assert_eq!(ksk.digits.len(), nl.div_ceil(3.min(nl)));
             assert_eq!(ksk.k, 3.min(nl));
-            assert_hybrid_relation(&kc, ksk, "square");
+            assert_hybrid_relation(&kc, ksk, SwitchedSecret::Square);
+        }
+    }
+
+    #[test]
+    fn hybrid_galois_key_gadget_relation() {
+        let ctx = CkksParams::toy().build();
+        let mut rng = Rng64::new(21);
+        let kc = KeyChain::generate(&ctx, &mut rng);
+        for nl in [1, 2, 5, 13] {
+            // Rotation by one slot, and the conjugation element.
+            for g in [5, 2 * ctx.n() - 1] {
+                let ksk = &kc.galois_key(g, nl).ksk;
+                assert_eq!(ksk.digits.len(), nl.div_ceil(3.min(nl)));
+                assert_hybrid_relation(&kc, ksk, SwitchedSecret::Auto(g));
+            }
         }
     }
 
@@ -826,10 +609,7 @@ mod tests {
         let mut rng = Rng64::new(13);
         let kc = KeyChain::generate(&ctx, &mut rng);
         for nl in [1, 3, 4, 7, 13] {
-            let rk = kc.relin_key(nl);
-            let KskInner::Hybrid(ksk) = &rk.inner else {
-                panic!("hybrid context produced a per-prime key");
-            };
+            let ksk = &kc.relin_key(nl).ksk;
             let mut expect_start = 0;
             for d in &ksk.digits {
                 assert_eq!(d.start, expect_start);

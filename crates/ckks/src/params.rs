@@ -6,6 +6,10 @@
 //! most of them fall well short of 128-bit security. Use
 //! [`CkksParams::paper_scale`] for parameters matching the paper's
 //! SEAL configuration (N = 32768, ~881-bit modulus).
+//!
+//! Every preset key-switches with the hybrid gadget at
+//! `ks_digit_limbs` = ω = 3; [`CkksParams::build`] and deserialization
+//! both reject ω outside `1..=`[`MAX_KS_DIGIT_LIMBS`].
 
 use crate::modular::{ntt_primes, ntt_primes_excluding};
 use crate::rns::CkksContext;
@@ -24,11 +28,10 @@ pub struct CkksParams {
     pub scale_prime_bits: u32,
     /// Number of rescaling primes = supported multiplication depth.
     pub depth: usize,
-    /// Key-switch gadget digit size ω in RNS limbs: `0` selects the
-    /// legacy per-prime digit decomposition; `1..=8` selects the hybrid
-    /// gadget that groups ω limbs per digit against ω special primes,
-    /// so a ciphertext with `L` limbs pays `⌈L/ω⌉` key-switch
-    /// components instead of `L × ⌈bits/16⌉`.
+    /// Key-switch gadget digit size ω in RNS limbs, in
+    /// `1..=MAX_KS_DIGIT_LIMBS`: the hybrid gadget groups ω limbs per
+    /// digit against ω special primes, so a ciphertext with `L` limbs
+    /// pays `⌈L/ω⌉` key-switch components.
     pub ks_digit_limbs: usize,
 }
 
@@ -94,31 +97,37 @@ impl CkksParams {
 
     /// Builds the runtime context (generates primes and NTT tables).
     ///
-    /// With `ks_digit_limbs > 0` this also generates ω special primes
-    /// (same bit size as the base prime, disjoint from the chain) that
-    /// back the hybrid key-switch gadget.
+    /// This also generates ω special primes (same bit size as the
+    /// base prime, disjoint from the chain) that back the hybrid
+    /// key-switch gadget.
     ///
     /// # Panics
     ///
     /// Panics on invalid dimensions (non-power-of-two `n`, prime sizes
-    /// above 62 bits, `ks_digit_limbs > MAX_KS_DIGIT_LIMBS`).
+    /// above 62 bits, `ks_digit_limbs` outside
+    /// `1..=MAX_KS_DIGIT_LIMBS`).
     pub fn build(&self) -> Arc<CkksContext> {
-        assert!(
-            self.ks_digit_limbs <= MAX_KS_DIGIT_LIMBS,
-            "ks_digit_limbs {} exceeds the supported maximum {}",
-            self.ks_digit_limbs,
-            MAX_KS_DIGIT_LIMBS
-        );
+        if let Err(msg) = check_ks_digit_limbs(self.ks_digit_limbs) {
+            panic!("{msg}");
+        }
         let mut primes = ntt_primes(self.base_prime_bits, 1, self.n);
         primes.extend(ntt_primes(self.scale_prime_bits, self.depth, self.n));
         let scale = 2f64.powi(self.scale_prime_bits as i32);
-        if self.ks_digit_limbs == 0 {
-            CkksContext::new(self.n, primes, scale)
-        } else {
-            let bits = self.base_prime_bits.max(self.scale_prime_bits);
-            let special = ntt_primes_excluding(bits, self.ks_digit_limbs, self.n, &primes);
-            CkksContext::with_special_primes(self.n, primes, special, scale)
-        }
+        let bits = self.base_prime_bits.max(self.scale_prime_bits);
+        let special = ntt_primes_excluding(bits, self.ks_digit_limbs, self.n, &primes);
+        CkksContext::with_special_primes(self.n, primes, special, scale)
+    }
+}
+
+/// The one range rule for ω, shared by [`CkksParams::build`] (panics)
+/// and deserialization (typed error).
+fn check_ks_digit_limbs(omega: usize) -> Result<(), String> {
+    if (1..=MAX_KS_DIGIT_LIMBS).contains(&omega) {
+        Ok(())
+    } else {
+        Err(format!(
+            "ks_digit_limbs {omega} is outside the supported range 1..={MAX_KS_DIGIT_LIMBS}"
+        ))
     }
 }
 
@@ -141,13 +150,7 @@ impl Deserialize for CkksParams {
             base_prime_bits: u32::deserialize(value.req("base_prime_bits")?)?,
             scale_prime_bits: u32::deserialize(value.req("scale_prime_bits")?)?,
             depth: usize::deserialize(value.req("depth")?)?,
-            // Artifacts recorded before the hybrid gadget carry no
-            // gadget field; they were priced and served per-prime, so
-            // keep that semantics on load.
-            ks_digit_limbs: match value.get("ks_digit_limbs") {
-                Some(v) => usize::deserialize(v)?,
-                None => 0,
-            },
+            ks_digit_limbs: usize::deserialize(value.req("ks_digit_limbs")?)?,
         };
         // The same conditions `build()` would panic on, reported as
         // parse errors so a corrupt artifact cannot take the process
@@ -161,12 +164,7 @@ impl Deserialize for CkksParams {
         if params.base_prime_bits > 62 || params.scale_prime_bits > 62 {
             return Err(Error::custom("prime sizes above 62 bits are unsupported"));
         }
-        if params.ks_digit_limbs > MAX_KS_DIGIT_LIMBS {
-            return Err(Error::custom(format!(
-                "ks_digit_limbs {} exceeds the supported maximum {}",
-                params.ks_digit_limbs, MAX_KS_DIGIT_LIMBS
-            )));
-        }
+        check_ks_digit_limbs(params.ks_digit_limbs).map_err(Error::custom)?;
         Ok(params)
     }
 }
@@ -188,6 +186,9 @@ mod tests {
             r#"{"n":256,"base_prime_bits":63,"scale_prime_bits":40,"depth":12}"#,
             r#"{"n":256,"base_prime_bits":60,"depth":12}"#,
             r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":9}"#,
+            // The gadget field is required, and ω = 0 is not a gadget.
+            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12}"#,
+            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12,"ks_digit_limbs":0}"#,
         ] {
             let v = serde::json::from_str(bad).unwrap();
             assert!(CkksParams::deserialize(&v).is_err(), "{bad}");
@@ -195,17 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn missing_gadget_field_defaults_to_per_prime() {
-        // Pre-gadget artifacts carry only the original four fields and
-        // must keep loading — as per-prime, matching how they were
-        // priced when recorded.
-        let v = serde::json::from_str(
-            r#"{"n":256,"base_prime_bits":60,"scale_prime_bits":40,"depth":12}"#,
-        )
-        .unwrap();
-        let p = CkksParams::deserialize(&v).unwrap();
-        assert_eq!(p.ks_digit_limbs, 0);
-        assert!(p.build().special_primes().is_empty());
+    #[should_panic(expected = "outside the supported range")]
+    fn build_rejects_zero_digit_limbs() {
+        let mut params = CkksParams::toy();
+        params.ks_digit_limbs = 0;
+        params.build();
     }
 
     #[test]

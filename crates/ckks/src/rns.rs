@@ -10,9 +10,13 @@
 //! thread-local [`crate::pool`] so steady-state ciphertext pipelines
 //! do not allocate. See `docs/ARCHITECTURE.md` ("Memory & kernels").
 //!
-//! All modular arithmetic goes through the per-prime
+//! All modular arithmetic goes through each prime's
 //! [`crate::modular::PrimeArith`] Barrett/Shoup kernels — same
 //! residues as the portable `% q` helpers, no hardware division.
+//!
+//! A [`CkksContext`] also carries the hybrid key-switch special primes
+//! (at least one; their count is the gadget digit size ω), and the
+//! extended-basis accessors the key switch runs over.
 
 use crate::modular::{add_mod, inv_mod, sub_mod, PrimeArith};
 use crate::ntt::NttTable;
@@ -39,9 +43,8 @@ pub struct CkksContext {
     n: usize,
     primes: Vec<u64>,
     ntt: Vec<NttTable>,
-    /// Hybrid key-switch special primes (empty selects the legacy
-    /// per-prime digit gadget). Disjoint from `primes`; their count is
-    /// the gadget digit size ω.
+    /// Hybrid key-switch special primes (at least one). Disjoint from
+    /// `primes`; their count is the gadget digit size ω.
     special: Vec<u64>,
     /// NTT tables for the special primes, same order as `special`.
     ntt_sp: Vec<NttTable>,
@@ -53,17 +56,6 @@ pub struct CkksContext {
 }
 
 impl CkksContext {
-    /// Builds a context with the legacy per-prime key-switch gadget
-    /// (no special primes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two, `primes` is empty, or any
-    /// prime is not NTT-friendly for `n`.
-    pub fn new(n: usize, primes: Vec<u64>, scale: f64) -> Arc<Self> {
-        Self::with_special_primes(n, primes, Vec::new(), scale)
-    }
-
     /// Builds a context whose key switches use the hybrid gadget:
     /// `special.len()` = ω RNS limbs are grouped per digit and the
     /// raised accumulation runs over the chain extended by the special
@@ -71,8 +63,9 @@ impl CkksContext {
     ///
     /// # Panics
     ///
-    /// As [`CkksContext::new`], plus if any special prime repeats a
-    /// chain prime.
+    /// Panics if `n` is not a power of two, `primes` or `special` is
+    /// empty, any prime is not NTT-friendly for `n`, or a special prime
+    /// repeats a chain prime.
     pub fn with_special_primes(
         n: usize,
         primes: Vec<u64>,
@@ -81,6 +74,7 @@ impl CkksContext {
     ) -> Arc<Self> {
         assert!(n.is_power_of_two(), "n must be a power of two");
         assert!(!primes.is_empty(), "empty prime chain");
+        assert!(!special.is_empty(), "key switching needs a special prime");
         for &p in &special {
             assert!(
                 !primes.contains(&p),
@@ -160,9 +154,8 @@ impl CkksContext {
         self.ntt[i].arith()
     }
 
-    /// The hybrid key-switch special primes (empty when the context
-    /// uses the per-prime gadget). Their count is the gadget digit
-    /// size ω.
+    /// The hybrid key-switch special primes. Their count is the gadget
+    /// digit size ω.
     pub fn special_primes(&self) -> &[u64] {
         &self.special
     }
@@ -208,25 +201,12 @@ impl CkksContext {
         self.ext_ntt(num_limbs, t).arith()
     }
 
-    /// How many raw `u128` products `(q_i-1)^2` can pile up in a lazy
-    /// accumulator (on top of one canonical carry-in `< q_i`) before
-    /// it must be flushed, minimized over the first `num_limbs`
-    /// primes. For 60-bit primes this is ~256, far above any gadget
-    /// component count, so the key switch never flushes in practice.
-    pub(crate) fn lazy_acc_headroom(&self, num_limbs: usize) -> usize {
-        self.primes[..num_limbs]
-            .iter()
-            .map(|&q| {
-                let max_prod = (q as u128 - 1) * (q as u128 - 1);
-                ((u128::MAX - (q as u128 - 1)) / max_prod) as usize
-            })
-            .min()
-            .expect("non-empty chain")
-    }
-
-    /// [`CkksContext::lazy_acc_headroom`] over the *extended* basis of
+    /// How many raw `u128` products `(m-1)^2` can pile up in a lazy
+    /// accumulator (on top of one canonical carry-in `< m`) before it
+    /// must be flushed, minimized over the extended basis of
     /// `num_limbs` chain primes plus the first `k` special primes; the
-    /// hybrid key-switch accumulates over all of them.
+    /// hybrid key-switch accumulates over all of them. For 60-bit
+    /// primes this is ~256, far above any digit count.
     pub(crate) fn lazy_acc_headroom_ext(&self, num_limbs: usize, k: usize) -> usize {
         self.primes[..num_limbs]
             .iter()
@@ -615,7 +595,7 @@ impl RnsPoly {
     }
 
     /// Ring multiplication (pointwise; both operands must be in NTT
-    /// form). Products reduce through the per-prime Barrett constants.
+    /// form). Products reduce through each prime's Barrett constants.
     ///
     /// # Panics
     ///
@@ -683,64 +663,6 @@ impl RnsPoly {
         }
     }
 
-    /// Accumulates raw 128-bit products `self[k] * other[k]` into a
-    /// flat lazy accumulator without reducing (both operands NTT form,
-    /// same level; `acc` is limb-major like the poly data). The caller
-    /// owns overflow accounting via
-    /// [`CkksContext::lazy_acc_headroom`] and
-    /// [`RnsPoly::reduce_lazy_in_place`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on level/domain mismatch or accumulator length mismatch.
-    pub(crate) fn mul_into_lazy(&self, other: &RnsPoly, acc: &mut [u128]) {
-        assert!(
-            self.is_ntt && other.is_ntt,
-            "lazy accumulation requires NTT form"
-        );
-        self.assert_binop_compatible(other);
-        assert_eq!(acc.len(), self.data.len(), "accumulator length mismatch");
-        for ((dst, &x), &y) in acc.iter_mut().zip(&self.data).zip(&other.data) {
-            *dst += x as u128 * y as u128;
-        }
-    }
-
-    /// Flushes a lazy accumulator in place: every element becomes its
-    /// canonical residue (as a `u128`), restoring full headroom.
-    pub(crate) fn reduce_lazy_in_place(ctx: &CkksContext, acc: &mut [u128], num_limbs: usize) {
-        let n = ctx.n();
-        assert_eq!(acc.len(), num_limbs * n, "accumulator length mismatch");
-        for (i, chunk) in acc.chunks_exact_mut(n).enumerate() {
-            let pa = *ctx.arith(i);
-            for x in chunk {
-                *x = pa.reduce_u128(*x) as u128;
-            }
-        }
-    }
-
-    /// Materializes a lazy accumulator as a canonical poly. Computes
-    /// exactly `Σ products mod q_i` per element — the same value an
-    /// eager `mul_acc` chain produces, so swapping accumulation
-    /// strategies cannot change any ciphertext bit.
-    pub(crate) fn from_lazy_accumulator(
-        ctx: &Arc<CkksContext>,
-        acc: &[u128],
-        num_limbs: usize,
-        is_ntt: bool,
-    ) -> RnsPoly {
-        let n = ctx.n();
-        assert_eq!(acc.len(), num_limbs * n, "accumulator length mismatch");
-        let mut out = Self::uninit(ctx, num_limbs, is_ntt);
-        for i in 0..num_limbs {
-            let pa = *ctx.arith(i);
-            let src = &acc[i * n..(i + 1) * n];
-            for (dst, &x) in out.limb_mut(i).iter_mut().zip(src) {
-                *dst = pa.reduce_u128(x);
-            }
-        }
-        out
-    }
-
     /// Negation.
     pub fn neg(&self) -> RnsPoly {
         let mut out = self.clone();
@@ -756,35 +678,6 @@ impl RnsPoly {
                 if *x != 0 {
                     *x = q - *x;
                 }
-            }
-        }
-    }
-
-    /// Multiplies every limb by a per-limb scalar residue (Shoup
-    /// product: the scalar's companion is computed once per limb and
-    /// amortized over all `n` coefficients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scalars.len() != num_limbs()`.
-    pub fn mul_scalar_residues(&self, scalars: &[u64]) -> RnsPoly {
-        let mut out = self.clone();
-        out.mul_scalar_residues_assign(scalars);
-        out
-    }
-
-    /// In-place per-limb scalar multiplication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scalars.len() != num_limbs()`.
-    pub fn mul_scalar_residues_assign(&mut self, scalars: &[u64]) {
-        assert_eq!(scalars.len(), self.num_limbs(), "scalar count mismatch");
-        for (i, &s) in scalars.iter().enumerate() {
-            let pa = *self.ctx.arith(i);
-            let s_shoup = pa.shoup(s);
-            for x in self.limb_mut(i) {
-                *x = pa.mul_shoup(*x, s, s_shoup);
             }
         }
     }
@@ -946,12 +839,13 @@ impl RnsPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modular::ntt_primes;
+    use crate::modular::{ntt_primes, ntt_primes_excluding};
 
     fn ctx() -> Arc<CkksContext> {
         let mut primes = ntt_primes(40, 3, 64);
         primes.insert(0, ntt_primes(50, 1, 64)[0]);
-        CkksContext::new(64, primes, (1u64 << 30) as f64)
+        let special = ntt_primes_excluding(50, 1, 64, &primes);
+        CkksContext::with_special_primes(64, primes, special, (1u64 << 30) as f64)
     }
 
     #[test]
@@ -1037,46 +931,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_accumulator_matches_eager_mul_acc() {
-        let c = ctx();
-        let mut rng = Rng64::new(77);
-        let polys: Vec<(RnsPoly, RnsPoly)> = (0..6)
-            .map(|_| {
-                (
-                    RnsPoly::random_uniform(&c, 3, &mut rng),
-                    RnsPoly::random_uniform(&c, 3, &mut rng),
-                )
-            })
-            .collect();
-        let mut eager = RnsPoly::zero(&c, 3);
-        for (a, b) in &polys {
-            eager.mul_acc(a, b);
-        }
-        let mut acc = vec![0u128; 3 * 64];
-        for (a, b) in &polys {
-            a.mul_into_lazy(b, &mut acc);
-        }
-        // A gratuitous mid-stream flush must not change the result.
-        let mut acc_flushed = vec![0u128; 3 * 64];
-        for (i, (a, b)) in polys.iter().enumerate() {
-            a.mul_into_lazy(b, &mut acc_flushed);
-            if i == 2 {
-                RnsPoly::reduce_lazy_in_place(&c, &mut acc_flushed, 3);
-            }
-        }
-        let lazy = RnsPoly::from_lazy_accumulator(&c, &acc, 3, true);
-        let flushed = RnsPoly::from_lazy_accumulator(&c, &acc_flushed, 3, true);
-        for i in 0..3 {
-            assert_eq!(eager.limb(i), lazy.limb(i), "limb {i}");
-            assert_eq!(eager.limb(i), flushed.limb(i), "flushed limb {i}");
-        }
-    }
-
-    #[test]
     fn lazy_headroom_is_generous_for_real_chains() {
         let c = ctx();
-        // 50-bit top prime: ~(2^50)^2 products leave ~2^28 of headroom.
-        assert!(c.lazy_acc_headroom(4) >= (1 << 27));
+        // 50-bit top and special primes: ~(2^50)^2 products leave ~2^28
+        // of headroom.
+        assert!(c.lazy_acc_headroom_ext(4, 1) >= (1 << 27));
     }
 
     #[test]

@@ -75,7 +75,8 @@ use crate::session::Objective;
 /// Version of the on-disk envelope this build reads and writes.
 /// Bumped on any breaking schema change; readers reject other versions
 /// with [`RegistryError::VersionMismatch`] instead of guessing.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 requires `params.ks_digit_limbs`, in `1..=8`.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The envelope's `format` marker, so arbitrary JSON is rejected
 /// before any field is interpreted.
@@ -723,7 +724,10 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         fs::write(
             &path,
-            text.replace("\"format_version\": 1", "\"format_version\": 999"),
+            text.replace(
+                &format!("\"format_version\": {FORMAT_VERSION}"),
+                "\"format_version\": 999",
+            ),
         )
         .unwrap();
         let err = reg.load_plan(builder(1, 5)).expect_err("future version");

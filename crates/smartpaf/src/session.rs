@@ -1642,11 +1642,10 @@ impl fmt::Display for PlanReport {
 /// every exact ct-mult (plus its rescale) is charged at the trace's
 /// mean live limb count, every traced rotation at the same limb
 /// count's Galois key-switch cost, and every forced refresh at the
-/// full analytic bootstrap cost. All three prices dispatch on the
-/// parameters' key-switch gadget (`CkksParams::ks_digit_limbs`), so a
-/// plan re-priced under the hybrid gadget reflects its cheaper
-/// relinearisations. The one conversion behind the planner's frontier
-/// pricing and the hybrid crate's Tab. 1 rows.
+/// full analytic bootstrap cost. The ct-mult and rotation prices
+/// follow the hybrid key-switch digit size
+/// (`CkksParams::ks_digit_limbs`). The one conversion behind the
+/// planner's frontier pricing and the hybrid crate's Tab. 1 rows.
 pub fn trace_modmuls(params: &CkksParams, report: &TraceReport) -> u128 {
     let top = params.depth + 1;
     let avg_limbs = (top + report.final_level + 1).div_ceil(2).max(1);

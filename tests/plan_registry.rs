@@ -161,6 +161,35 @@ fn future_format_versions_are_rejected() {
 }
 
 #[test]
+fn format_1_artifacts_are_rejected() {
+    // A format-1 artifact may omit `params.ks_digit_limbs`; it must
+    // fail on its version before anything re-prices it.
+    let dir = registry_dir("format-1");
+    let build = || blocks_builder(1, 2.0, 30).seed(30);
+    let registry = PlanRegistry::open(&dir).expect("open");
+    let key = registry
+        .save_plan(&build().plan().expect("plan"))
+        .expect("save");
+
+    let path = dir.join(format!("{key}.json"));
+    let text = std::fs::read_to_string(&path).expect("read artifact");
+    let edited = text.replace(
+        &format!("\"format_version\": {FORMAT_VERSION}"),
+        "\"format_version\": 1",
+    );
+    assert_ne!(text, edited, "fixture must actually change the version");
+    std::fs::write(&path, edited).expect("write edited");
+
+    match registry.load_plan(build()) {
+        Err(RegistryError::VersionMismatch {
+            found: 1,
+            supported: 2,
+        }) => {}
+        other => panic!("a format-1 artifact must be VersionMismatch, got {other:?}"),
+    }
+}
+
+#[test]
 fn missing_artifacts_are_not_found() {
     let dir = registry_dir("missing");
     let registry = PlanRegistry::open(&dir).expect("open");
